@@ -22,8 +22,8 @@ use crate::shard;
 /// How a background pump executes the evaluation pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PumpMode {
-    /// One thread: drain, then evaluate every event inline. The
-    /// original, strictly ordered mode.
+    /// One thread: drain, then evaluate and deliver the drained events
+    /// in chunks. The original, strictly ordered mode.
     #[default]
     Sequential,
     /// Router + N evaluation workers + merge stage. Events are
@@ -63,7 +63,8 @@ impl PumpHandle {
         self.cycles.load(Ordering::Relaxed)
     }
 
-    /// Pump cycles that returned an error (logged, not fatal).
+    /// Errors counted so far (never fatal): one per errored event, failed
+    /// capture poll or history merge, in both modes.
     pub fn errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
@@ -88,8 +89,9 @@ impl Drop for PumpHandle {
 /// Start a background thread that calls [`EventServer::pump`] (and reaps
 /// queue visibility timeouts) every `interval`.
 ///
-/// Errors from individual pump cycles are counted on the handle and do
-/// not kill the thread — a poisoned event must not stop the feed
+/// Each cycle's [`PumpStats::errors`](crate::server::PumpStats::errors)
+/// are added to the handle; an errored event is skipped and the rest of
+/// its drain still runs — a poisoned event must not stop the feed
 /// (callers watch [`PumpHandle::errors`]).
 pub fn spawn_pump(server: &Arc<EventServer>, interval: Duration) -> PumpHandle {
     spawn_pump_with(server, interval, PumpMode::Sequential)
@@ -140,9 +142,7 @@ fn spawn_sequential(
         .name("evdb-pump".into())
         .spawn(move || {
             while !st.load(Ordering::SeqCst) {
-                if s.pump().is_err() {
-                    er.fetch_add(1, Ordering::Relaxed);
-                }
+                er.fetch_add(s.pump().map_or(1, |stats| stats.errors), Ordering::Relaxed);
                 for q in s.queues().queue_names() {
                     let _ = s.queues().reap_timeouts(&q);
                 }

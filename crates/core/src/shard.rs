@@ -150,65 +150,60 @@ fn router_loop(
         // Read the flag *before* draining: the post-stop iteration then
         // ships everything staged up to the stop call.
         let stopping = stop.load(Ordering::SeqCst);
-        match server.drain_captured() {
-            Ok(events) => {
-                let mut batches: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
-                let stamp_now = server.now();
-                let mut stage_batch = StageBatch::default();
-                for mut event in events {
-                    server.observe_route(&mut event, stamp_now, &mut stage_batch);
-                    let key = server.partition_key_of(&event);
-                    batches[shard_for(&key, n)].push(event);
-                }
-                server.stage_obs().flush(&mut stage_batch);
-                let shed_at_router =
-                    server.admission().policy() == crate::admission::OverloadPolicy::ShedLowest;
-                for (i, batch) in batches.into_iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
+        let (events, failed_polls) = server.drain_counted();
+        errors.fetch_add(failed_polls, Ordering::Relaxed);
+        let mut batches: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
+        let stamp_now = server.now();
+        let mut stage_batch = StageBatch::default();
+        for mut event in events {
+            server.observe_route(&mut event, stamp_now, &mut stage_batch);
+            let key = server.partition_key_of(&event);
+            batches[shard_for(&key, n)].push(event);
+        }
+        server.stage_obs().flush(&mut stage_batch);
+        let shed_at_router =
+            server.admission().policy() == crate::admission::OverloadPolicy::ShedLowest;
+        for (i, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let len = batch.len() as u64;
+            shard_metrics[i]
+                .events_routed
+                .fetch_add(len, Ordering::Relaxed);
+            shard_metrics[i]
+                .queue_depth
+                .fetch_add(len, Ordering::Relaxed);
+            if shed_at_router {
+                // ShedLowest must not stall the router on one saturated
+                // worker: a full queue sheds the batch into the same
+                // accounting the admission gate uses, so offered ==
+                // evaluated + shed + rejected still balances (DESIGN.md
+                // D10).
+                match worker_txs[i].try_send(batch) {
+                    Ok(()) => {}
+                    Err(channel::TrySendError::Full(batch)) => {
+                        server.admission().note_shed(batch.len() as u64);
+                        shard_metrics[i]
+                            .queue_depth
+                            .fetch_sub(len, Ordering::Relaxed);
                     }
-                    let len = batch.len() as u64;
-                    shard_metrics[i]
-                        .events_routed
-                        .fetch_add(len, Ordering::Relaxed);
-                    shard_metrics[i]
-                        .queue_depth
-                        .fetch_add(len, Ordering::Relaxed);
-                    if shed_at_router {
-                        // ShedLowest must not stall the router on one
-                        // saturated worker: a full queue sheds the batch
-                        // into the same accounting the admission gate
-                        // uses, so offered == evaluated + shed + rejected
-                        // still balances (DESIGN.md D10).
-                        match worker_txs[i].try_send(batch) {
-                            Ok(()) => {}
-                            Err(channel::TrySendError::Full(batch)) => {
-                                server.admission().note_shed(batch.len() as u64);
-                                shard_metrics[i]
-                                    .queue_depth
-                                    .fetch_sub(len, Ordering::Relaxed);
-                            }
-                            Err(channel::TrySendError::Disconnected(_)) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                shard_metrics[i]
-                                    .queue_depth
-                                    .fetch_sub(len, Ordering::Relaxed);
-                            }
-                        }
-                    } else if worker_txs[i].send(batch).is_err() {
-                        // Blocking send (Block/Reject): a full worker
-                        // queue backpressures the router instead of
-                        // growing without bound. Err means the worker
-                        // died (only on panic); count and go on.
+                    Err(channel::TrySendError::Disconnected(_)) => {
                         errors.fetch_add(1, Ordering::Relaxed);
                         shard_metrics[i]
                             .queue_depth
                             .fetch_sub(len, Ordering::Relaxed);
                     }
                 }
-            }
-            Err(_) => {
+            } else if worker_txs[i].send(batch).is_err() {
+                // Blocking send (Block/Reject): a full worker queue
+                // backpressures the router instead of growing without
+                // bound. Err means the worker died (only on panic); count
+                // and go on.
                 errors.fetch_add(1, Ordering::Relaxed);
+                shard_metrics[i]
+                    .queue_depth
+                    .fetch_sub(len, Ordering::Relaxed);
             }
         }
         for q in server.queues().queue_names() {

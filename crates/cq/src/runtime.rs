@@ -315,9 +315,12 @@ impl StreamRuntime {
         self.route(&event, wm)
     }
 
-    /// Push a pre-built event (capture adapters use this). With dedup
+    /// Push a pre-built event. With dedup
     /// enabled, a replayed `(stream, event id)` pair is dropped before it
     /// can double-count into windows (recovery replays WAL prefixes).
+    /// The engine pushes through [`push_events`](Self::push_events);
+    /// this one-event form is the reference the batch form is tested
+    /// against.
     pub fn push_event(&self, event: &Event) -> Result<Vec<Event>> {
         let entry = self.stream_entry(event.source.as_ref())?;
         if let Some(window) = self.dedup.lock().as_mut() {
@@ -378,8 +381,7 @@ impl StreamRuntime {
     /// push entirely (the pipeline still observes their watermarks;
     /// dropping an event never suppresses pane closes). An event whose
     /// evaluation errors at query *j* yields that error and is withheld
-    /// from queries after *j*, exactly as the per-event path's early
-    /// return.
+    /// from queries after *j*, exactly as `push_event`'s early return.
     pub fn push_events(
         &self,
         events: &[Event],

@@ -16,6 +16,11 @@
 //! for the compiled engine ([`crate::compile`]) rather than a clone-heavy
 //! strawman. The shared semantics helpers (`three_and`, `three_cmp`,
 //! `arith`, …) are the single source of truth used by both engines.
+//!
+//! Role: this interpreter is not on the engine's evaluation path. It is
+//! the compiler's constant folder (field-free subtrees are evaluated
+//! here once, at compile time) and the differential oracle the compiled
+//! and batch VMs are tested against.
 
 use std::borrow::Cow;
 

@@ -68,6 +68,9 @@ pub trait Matcher: Send + Sync {
 
     /// Ids of all rules whose predicate is TRUE for the record,
     /// in ascending id order (deterministic for tests and dedup).
+    /// The engine's event path uses [`match_batch`](Self::match_batch);
+    /// this per-record form serves the topic broker and is the
+    /// reference the batch form is tested against.
     fn match_record(&self, record: &Record) -> Result<Vec<RuleId>>;
 
     /// Match a whole batch: `out[i]` must equal

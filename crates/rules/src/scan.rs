@@ -12,6 +12,9 @@ use crate::rule::{Rule, RuleId};
 /// O(rules)-per-record matcher; the comparison point for experiment E3.
 /// Predicates are compiled to bytecode at registration like the indexed
 /// matcher's, so E3 compares indexing strategies, not eval engines.
+///
+/// Not on the engine's path: it is kept as E3's baseline and as the
+/// oracle the indexed matcher is checked against (`tests/prop_rules.rs`).
 pub struct ScanMatcher {
     schema: Arc<Schema>,
     rules: BTreeMap<RuleId, CompiledExpr>,
